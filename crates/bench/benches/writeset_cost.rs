@@ -47,10 +47,6 @@ fn main() {
     let report = cluster.metrics();
     let local = &report.per_node[0].stages;
     let remote = &report.per_node[1].stages;
-    if local.is_empty() && remote.is_empty() {
-        println!("T-2 skipped: tracing compiled out (build with the `trace` feature)");
-        return;
-    }
     let exec_ms = local.median(Stage::Execute);
     let apply_ms = remote.median(Stage::Apply);
     assert!(local.count(Stage::Execute) as usize >= iterations, "missing execute samples");

@@ -193,7 +193,7 @@ fn json_num(v: f64) -> String {
 
 /// One [`RunResult`] as a JSON object: identity, throughput, abort rates,
 /// response-time quantiles, and the per-stage lifecycle latency breakdown
-/// (p50/p95/p99 wall ms — empty object when tracing is compiled out).
+/// (p50/p95/p99 wall ms — empty object for systems without tracing).
 pub fn result_json(r: &RunResult) -> String {
     use std::fmt::Write as _;
     let mut stages = String::new();

@@ -8,13 +8,7 @@
 //! with two relaxed atomics; [`GaugeReading`] is the plain `Copy` snapshot
 //! that reports embed, and [`GaugeSnapshot`] bundles one reading per
 //! protocol gauge for `NodeStatus`.
-//!
-//! Like the rest of the observability layer this is feature-gated: without
-//! the default-on `trace` feature [`Gauge`] is a zero-sized no-op and every
-//! update site compiles away, while the snapshot types (plain data) stay
-//! real so report structures keep their shape.
 
-#[cfg(feature = "trace")]
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A point-in-time reading: the current value and the high-water mark.
@@ -89,8 +83,7 @@ impl GaugeSnapshot {
 }
 
 // ======================================================================
-// Wire forms (telemetry scrapes). Snapshot types are plain data in both
-// feature configurations, so these impls are unconditional.
+// Wire forms (telemetry scrapes).
 // ======================================================================
 
 use crate::wire::{Wire, WireError, WireReader};
@@ -130,19 +123,13 @@ impl Wire for GaugeSnapshot {
     }
 }
 
-// ======================================================================
-// Real implementation (`trace` feature on — the default).
-// ======================================================================
-
 /// A current-value gauge that remembers its high-water mark.
-#[cfg(feature = "trace")]
 #[derive(Debug, Default)]
 pub struct Gauge {
     value: AtomicU64,
     high: AtomicU64,
 }
 
-#[cfg(feature = "trace")]
 impl Gauge {
     pub fn new() -> Gauge {
         Gauge::default()
@@ -177,33 +164,6 @@ impl Gauge {
             current: self.value.load(Ordering::Relaxed),
             high_water: self.high.load(Ordering::Relaxed),
         }
-    }
-}
-
-// ======================================================================
-// No-op implementation (`trace` feature off): same API, zero cost.
-// ======================================================================
-
-/// No-op gauge: the `trace` feature is off, updates compile away.
-#[cfg(not(feature = "trace"))]
-#[derive(Debug, Default)]
-pub struct Gauge;
-
-#[cfg(not(feature = "trace"))]
-impl Gauge {
-    #[inline(always)]
-    pub fn new() -> Gauge {
-        Gauge
-    }
-    #[inline(always)]
-    pub fn set(&self, _v: u64) {}
-    #[inline(always)]
-    pub fn add(&self, _n: u64) {}
-    #[inline(always)]
-    pub fn sub(&self, _n: u64) {}
-    #[inline(always)]
-    pub fn read(&self) -> GaugeReading {
-        GaugeReading::default()
     }
 }
 
@@ -242,7 +202,7 @@ impl ProtocolGauges {
     }
 }
 
-#[cfg(all(test, feature = "trace"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -15,16 +15,10 @@
 //! (oldest first) and render it — see the Perfetto exporter in
 //! `sirep_core::export` — or feed it to the online auditor.
 //!
-//! Like the rest of the observability layer, the whole module is gated on
-//! the default-on `trace` feature: with `--no-default-features` the journal
-//! becomes a no-op with the same API and every call site compiles away.
-//!
 //! [`snapshot`]: Journal::snapshot
 
 use crate::ids::{GlobalTid, ReplicaId, XactId};
-#[cfg(feature = "trace")]
 use parking_lot::Mutex;
-#[cfg(feature = "trace")]
 use std::collections::VecDeque;
 use std::time::Instant;
 
@@ -208,8 +202,7 @@ pub struct Event {
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 8192;
 
 // ======================================================================
-// Wire forms (telemetry journal export). `Event` and its kinds are plain
-// data in both feature configurations, so these impls are unconditional.
+// Wire forms (telemetry journal export).
 // ======================================================================
 
 use crate::wire::{Wire, WireError, WireReader};
@@ -410,12 +403,7 @@ impl Wire for Event {
     }
 }
 
-// ======================================================================
-// Real implementation (`trace` feature on — the default).
-// ======================================================================
-
 /// Bounded append-only ring of protocol [`Event`]s for one replica.
-#[cfg(feature = "trace")]
 #[derive(Debug)]
 pub struct Journal {
     replica: ReplicaId,
@@ -423,7 +411,6 @@ pub struct Journal {
     inner: Mutex<Ring>,
 }
 
-#[cfg(feature = "trace")]
 #[derive(Debug)]
 struct Ring {
     buf: VecDeque<Event>,
@@ -432,7 +419,6 @@ struct Ring {
     dropped: u64,
 }
 
-#[cfg(feature = "trace")]
 impl Journal {
     /// A journal with its own epoch (= now) and the default capacity.
     pub fn new(replica: ReplicaId) -> Journal {
@@ -499,56 +485,7 @@ impl Journal {
     }
 }
 
-// ======================================================================
-// No-op implementation (`trace` feature off): same API, zero cost.
-// ======================================================================
-
-/// No-op journal: the `trace` feature is off, recording compiles away.
-#[cfg(not(feature = "trace"))]
-#[derive(Debug)]
-pub struct Journal {
-    replica: ReplicaId,
-}
-
-#[cfg(not(feature = "trace"))]
-impl Journal {
-    #[inline(always)]
-    pub fn new(replica: ReplicaId) -> Journal {
-        Journal { replica }
-    }
-    #[inline(always)]
-    pub fn with_epoch(replica: ReplicaId, _epoch: Instant, _capacity: usize) -> Journal {
-        Journal { replica }
-    }
-    #[inline(always)]
-    pub fn record(&self, _kind: EventKind) {}
-    #[inline(always)]
-    pub fn snapshot(&self) -> Vec<Event> {
-        Vec::new()
-    }
-    #[inline(always)]
-    pub fn len(&self) -> usize {
-        0
-    }
-    #[inline(always)]
-    pub fn is_empty(&self) -> bool {
-        true
-    }
-    #[inline(always)]
-    pub fn dropped(&self) -> u64 {
-        0
-    }
-    #[inline(always)]
-    pub fn capacity(&self) -> usize {
-        0
-    }
-    #[inline(always)]
-    pub fn replica(&self) -> ReplicaId {
-        self.replica
-    }
-}
-
-#[cfg(all(test, feature = "trace"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

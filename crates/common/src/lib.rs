@@ -15,12 +15,10 @@
 //! - [`metrics`]: cheap atomic counters for protocol events (commits, aborts
 //!   by reason, commit-order holes, ...).
 //! - [`trace`]: transaction-lifecycle tracing — per-stage latency
-//!   breakdowns across the replication pipeline (compiled out when the
-//!   `trace` cargo feature is disabled).
-//! - [`journal`]: bounded ring of typed protocol events per replica
-//!   (feature-gated like [`trace`]).
+//!   breakdowns across the replication pipeline.
+//! - [`journal`]: bounded ring of typed protocol events per replica.
 //! - [`gauges`]: current-value telemetry with high-water marks for the
-//!   protocol's queue depths (feature-gated like [`trace`]).
+//!   protocol's queue depths.
 //! - [`wire`]: the dependency-free length-prefixed binary codec everything
 //!   crossing a process boundary encodes through.
 

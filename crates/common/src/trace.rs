@@ -30,14 +30,8 @@
 //! [`StageStats`] aggregates traces from many threads into one log-bucketed
 //! [`Histogram`] per stage (recorded in **milliseconds**, like every other
 //! histogram in the workspace).
-//!
-//! The whole module is feature-gated: building with
-//! `--no-default-features` (dropping the `trace` feature) swaps every type
-//! for a zero-sized no-op with the same API, so call sites compile away.
 
-#[cfg(feature = "trace")]
 use crate::histogram::Histogram;
-#[cfg(feature = "trace")]
 use parking_lot::Mutex;
 use std::fmt;
 use std::time::Instant;
@@ -101,16 +95,10 @@ impl fmt::Display for Stage {
     }
 }
 
-#[cfg(feature = "trace")]
 const UNSET: u64 = u64::MAX;
-
-// ======================================================================
-// Real implementation (`trace` feature on — the default).
-// ======================================================================
 
 /// Per-transaction stage timeline.  `Copy`, 72 bytes, no allocation: cheap
 /// enough to thread through the hot commit path and drop on abort.
-#[cfg(feature = "trace")]
 #[derive(Debug, Clone, Copy)]
 pub struct TxTrace {
     origin: Instant,
@@ -119,7 +107,6 @@ pub struct TxTrace {
     marks: [u64; STAGE_COUNT],
 }
 
-#[cfg(feature = "trace")]
 impl TxTrace {
     /// Start a trace now; the transaction's `begin` is the time origin.
     #[inline]
@@ -189,7 +176,6 @@ impl TxTrace {
     }
 }
 
-#[cfg(feature = "trace")]
 impl Default for TxTrace {
     fn default() -> Self {
         TxTrace::start()
@@ -198,13 +184,11 @@ impl Default for TxTrace {
 
 /// Thread-safe per-replica aggregation of [`TxTrace`]s: one latency
 /// [`Histogram`] (milliseconds) per [`Stage`].
-#[cfg(feature = "trace")]
 #[derive(Debug, Default)]
 pub struct StageStats {
     hists: Mutex<[Histogram; STAGE_COUNT]>,
 }
 
-#[cfg(feature = "trace")]
 impl StageStats {
     pub fn new() -> StageStats {
         StageStats::default()
@@ -249,13 +233,11 @@ impl StageStats {
 
 /// Owned copy of a [`StageStats`] registry, detached from its locks —
 /// what [`StageStats::snapshot`] returns and what reports embed.
-#[cfg(feature = "trace")]
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StageSnapshot {
     hists: [Histogram; STAGE_COUNT],
 }
 
-#[cfg(feature = "trace")]
 impl StageSnapshot {
     /// Number of samples recorded for `stage`.
     pub fn count(&self, stage: Stage) -> u64 {
@@ -285,7 +267,7 @@ impl StageSnapshot {
         }
     }
 
-    /// True when no stage has any samples (e.g. tracing compiled out).
+    /// True when no stage has any samples.
     pub fn is_empty(&self) -> bool {
         Stage::ALL.iter().all(|&s| self.count(s) == 0)
     }
@@ -323,104 +305,12 @@ impl StageSnapshot {
 }
 
 // ======================================================================
-// No-op implementation (`trace` feature off): same API, zero cost.
-// ======================================================================
-
-#[cfg(not(feature = "trace"))]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TxTrace;
-
-#[cfg(not(feature = "trace"))]
-impl TxTrace {
-    #[inline(always)]
-    pub fn start() -> TxTrace {
-        TxTrace
-    }
-    #[inline(always)]
-    pub fn starting_at(_origin: Instant) -> TxTrace {
-        TxTrace
-    }
-    #[inline(always)]
-    pub fn mark(&mut self, _stage: Stage) {}
-    #[inline(always)]
-    pub fn mark_at(&mut self, _stage: Stage, _at: Instant) {}
-    #[inline(always)]
-    pub fn finish(self) -> TxTrace {
-        self
-    }
-    #[inline(always)]
-    pub fn offset_ns(&self, _stage: Stage) -> Option<u64> {
-        None
-    }
-    #[inline(always)]
-    pub fn stage_ns(&self, _stage: Stage) -> Option<u64> {
-        None
-    }
-    #[inline(always)]
-    pub fn has_all(&self, _stages: &[Stage]) -> bool {
-        false
-    }
-}
-
-#[cfg(not(feature = "trace"))]
-#[derive(Debug, Default)]
-pub struct StageStats;
-
-#[cfg(not(feature = "trace"))]
-impl StageStats {
-    pub fn new() -> StageStats {
-        StageStats
-    }
-    #[inline(always)]
-    pub fn absorb(&self, _trace: &TxTrace) {}
-    #[inline(always)]
-    pub fn record_ms(&self, _stage: Stage, _ms: f64) {}
-    #[inline(always)]
-    pub fn record_duration(&self, _stage: Stage, _d: std::time::Duration) {}
-    pub fn merge(&self, _other: &StageStats) {}
-    pub fn snapshot(&self) -> StageSnapshot {
-        StageSnapshot
-    }
-}
-
-#[cfg(not(feature = "trace"))]
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageSnapshot;
-
-#[cfg(not(feature = "trace"))]
-impl StageSnapshot {
-    pub fn count(&self, _stage: Stage) -> u64 {
-        0
-    }
-    pub fn quantile(&self, _stage: Stage, _q: f64) -> f64 {
-        f64::NAN
-    }
-    pub fn median(&self, _stage: Stage) -> f64 {
-        f64::NAN
-    }
-    pub fn overflow(&self, _stage: Stage) -> u64 {
-        0
-    }
-    pub fn merge(&mut self, _other: &StageSnapshot) {}
-    pub fn is_empty(&self) -> bool {
-        true
-    }
-    pub fn breakdown_table(&self) -> String {
-        String::from("(tracing compiled out: build with the `trace` feature)\n")
-    }
-}
-
-// ======================================================================
 // Wire form (telemetry scrapes).
 // ======================================================================
 
-/// Sparse canonical encoding shared by both cfg variants: a `Vec` of
-/// `(stage_tag, histogram)` pairs for the stages with at least one sample,
-/// in strictly increasing stage order. The trace-off build encodes the
-/// empty list and decodes-and-discards, so mixed-feature deployments
-/// exchange frames without either side panicking.
+/// Sparse canonical encoding: a `Vec` of `(stage_tag, histogram)` pairs for
+/// the stages with at least one sample, in strictly increasing stage order.
 impl crate::wire::Wire for StageSnapshot {
-    #[cfg(feature = "trace")]
     fn encode(&self, out: &mut Vec<u8>) {
         let nonempty: Vec<(u8, Histogram)> = Stage::ALL
             .iter()
@@ -430,16 +320,10 @@ impl crate::wire::Wire for StageSnapshot {
         nonempty.encode(out);
     }
 
-    #[cfg(not(feature = "trace"))]
-    fn encode(&self, out: &mut Vec<u8>) {
-        Vec::<(u8, crate::histogram::Histogram)>::new().encode(out);
-    }
-
     fn decode(r: &mut crate::wire::WireReader<'_>) -> Result<Self, crate::wire::WireError> {
         use crate::wire::WireError;
-        let pairs = Vec::<(u8, crate::histogram::Histogram)>::decode(r)?;
+        let pairs = Vec::<(u8, Histogram)>::decode(r)?;
         let mut last: Option<u8> = None;
-        #[allow(unused_mut)]
         let mut snap = StageSnapshot::default();
         for (tag, hist) in pairs {
             if tag as usize >= STAGE_COUNT {
@@ -452,18 +336,13 @@ impl crate::wire::Wire for StageSnapshot {
                 return Err(WireError::Corrupt("stage empty histogram"));
             }
             last = Some(tag);
-            #[cfg(feature = "trace")]
-            {
-                snap.hists[tag as usize] = hist;
-            }
-            #[cfg(not(feature = "trace"))]
-            let _ = hist;
+            snap.hists[tag as usize] = hist;
         }
         Ok(snap)
     }
 }
 
-#[cfg(all(test, feature = "trace"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::time::Duration;

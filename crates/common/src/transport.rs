@@ -10,8 +10,8 @@
 //!
 //! Counters are cumulative since the endpoint connected; the two gauge
 //! readings carry current + high-water like every other gauge. All fields
-//! are plain data in both feature configurations (the *updating* happens
-//! through atomics owned by the backend, which may feature-gate them).
+//! are plain data; the *updating* happens through atomics owned by the
+//! backend.
 
 use crate::gauges::GaugeReading;
 use crate::wire::{Wire, WireError, WireReader};

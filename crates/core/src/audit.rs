@@ -31,22 +31,13 @@
 //! state transfer — compares only the transactions it actually processes.
 //! [`Auditor::on_replica_reset`] rebases the per-replica hole/watermark
 //! bookkeeping from the recovery bootstrap.
-//!
-//! With `--no-default-features` the auditor compiles to a no-op with the
-//! same API, like the rest of the observability layer.
 
 use crate::msg::XactId;
-use sirep_common::{GlobalTid, ReplicaId};
-
-#[cfg(feature = "trace")]
 use parking_lot::Mutex;
-#[cfg(feature = "trace")]
+use sirep_common::{GlobalTid, ReplicaId};
 use sirep_storage::WriteSet;
-#[cfg(feature = "trace")]
 use std::collections::{BTreeSet, HashMap, VecDeque};
-#[cfg(feature = "trace")]
 use std::sync::atomic::{AtomicBool, Ordering};
-#[cfg(feature = "trace")]
 use std::sync::Arc;
 
 /// Which invariant a violation trips.
@@ -77,8 +68,7 @@ impl std::fmt::Display for AuditKind {
     }
 }
 
-/// One detected invariant violation (always a real type, even without the
-/// `trace` feature, so reports keep a stable shape).
+/// One detected invariant violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditViolation {
     pub kind: AuditKind,
@@ -94,9 +84,8 @@ impl std::fmt::Display for AuditViolation {
     }
 }
 
-// Telemetry wire forms (both feature configurations — the types are plain
-// data either way), so scraped cluster reports can carry violations across
-// process boundaries.
+// Telemetry wire forms, so scraped cluster reports can carry violations
+// across process boundaries.
 
 impl sirep_common::wire::Wire for AuditKind {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -143,14 +132,10 @@ impl sirep_common::wire::Wire for AuditViolation {
 /// grow the auditor without limit. Old entries age out FIFO; the protocol
 /// invariants are local in tid-space, so aged-out history only narrows the
 /// window the auditor can cross-check, it never causes false positives.
-#[cfg(feature = "trace")]
 const VERDICT_CAP: usize = 1 << 16;
-#[cfg(feature = "trace")]
 const HISTORY_CAP: usize = 4096;
-#[cfg(feature = "trace")]
 const VIOLATION_CAP: usize = 64;
 
-#[cfg(feature = "trace")]
 #[derive(Clone)]
 struct Verdict {
     /// `Some(tid)` when certification passed, `None` on abort.
@@ -159,14 +144,12 @@ struct Verdict {
 
 /// A certified (passed) writeset remembered for first-committer-wins
 /// cross-checking.
-#[cfg(feature = "trace")]
 struct CertRecord {
     tid: GlobalTid,
     cert: GlobalTid,
     ws: Arc<WriteSet>,
 }
 
-#[cfg(feature = "trace")]
 #[derive(Default)]
 struct ReplicaAudit {
     /// Validated-but-uncommitted tids at this replica (auditor's own copy).
@@ -180,7 +163,6 @@ struct ReplicaAudit {
     watermark: GlobalTid,
 }
 
-#[cfg(feature = "trace")]
 struct AuditState {
     /// First-reported verdict per transaction; later replicas must agree.
     verdicts: HashMap<XactId, Verdict>,
@@ -194,9 +176,7 @@ struct AuditState {
 }
 
 /// The online auditor, shared by every replica of a cluster.
-#[cfg(feature = "trace")]
 pub struct Auditor {
-    enabled: bool,
     /// Check the adjustment-3 begin rule (SRCA-Rep only — SRCA-Opt
     /// deliberately forgoes it, that's the point of the ablation).
     check_hole_sync: bool,
@@ -204,11 +184,9 @@ pub struct Auditor {
     inner: Mutex<AuditState>,
 }
 
-#[cfg(feature = "trace")]
 impl Auditor {
-    pub fn new(enabled: bool, check_hole_sync: bool) -> Auditor {
+    pub fn new(check_hole_sync: bool) -> Auditor {
         Auditor {
-            enabled,
             check_hole_sync,
             tripped: AtomicBool::new(false),
             inner: Mutex::new(AuditState {
@@ -221,15 +199,6 @@ impl Auditor {
         }
     }
 
-    /// An auditor that ignores every report.
-    pub fn disabled() -> Auditor {
-        Auditor::new(false, false)
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// No violation recorded so far. Lock-free fast path.
     pub fn is_clean(&self) -> bool {
         !self.tripped.load(Ordering::Acquire)
@@ -237,16 +206,13 @@ impl Auditor {
 
     /// Snapshot of all recorded violations.
     pub fn violations(&self) -> Vec<AuditViolation> {
-        if !self.enabled {
-            return Vec::new();
-        }
         self.inner.lock().violations.clone()
     }
 
     /// A local transaction is about to begin at `replica` (called under the
     /// node's state lock, after any adjustment-3 hole wait).
     pub fn on_local_begin(&self, replica: ReplicaId) {
-        if !self.enabled || !self.check_hole_sync {
+        if !self.check_hole_sync {
             return;
         }
         let mut st = self.inner.lock();
@@ -268,9 +234,6 @@ impl Auditor {
     /// replica had really committed everything up to it (no tid at or below
     /// `snapshot` still pending) and never claims commits from the future.
     pub fn on_local_readonly(&self, replica: ReplicaId, xact: XactId, snapshot: GlobalTid) {
-        if !self.enabled {
-            return;
-        }
         let mut st = self.inner.lock();
         let ra = st.replicas.entry(replica).or_default();
         if snapshot > ra.max_committed {
@@ -298,9 +261,6 @@ impl Auditor {
 
     /// A writeset was delivered in total order at `replica`.
     pub fn on_deliver(&self, replica: ReplicaId, xact: XactId, cert: GlobalTid) {
-        if !self.enabled {
-            return;
-        }
         let mut st = self.inner.lock();
         let ra = st.replicas.entry(replica).or_default();
         if cert < ra.watermark {
@@ -327,9 +287,6 @@ impl Auditor {
         tid: Option<GlobalTid>,
         ws: &Arc<WriteSet>,
     ) {
-        if !self.enabled {
-            return;
-        }
         let mut st = self.inner.lock();
         match st.verdicts.get(&xact) {
             Some(first) => {
@@ -414,9 +371,6 @@ impl Auditor {
     /// `xact` committed at `replica` with global id `tid` (under the node's
     /// state lock, right after the database commit).
     pub fn on_commit(&self, replica: ReplicaId, xact: XactId, tid: GlobalTid) {
-        if !self.enabled {
-            return;
-        }
         let mut st = self.inner.lock();
         if let Some(v) = st.verdicts.get(&xact) {
             if v.tid != Some(tid) {
@@ -436,9 +390,6 @@ impl Auditor {
 
     /// `replica` pruned its `ws_list` up to `watermark`.
     pub fn on_prune(&self, replica: ReplicaId, watermark: GlobalTid) {
-        if !self.enabled {
-            return;
-        }
         let mut st = self.inner.lock();
         let ra = st.replicas.entry(replica).or_default();
         if watermark < ra.watermark {
@@ -465,9 +416,6 @@ impl Auditor {
         max_committed: GlobalTid,
         pending: impl IntoIterator<Item = GlobalTid>,
     ) {
-        if !self.enabled {
-            return;
-        }
         let mut st = self.inner.lock();
         st.replicas.insert(
             replica,
@@ -488,78 +436,7 @@ impl Auditor {
     }
 }
 
-// ======================================================================
-// No-op stub (`trace` feature off): same API, everything compiles away.
-// ======================================================================
-
-#[cfg(not(feature = "trace"))]
-pub struct Auditor;
-
-#[cfg(not(feature = "trace"))]
-impl Auditor {
-    #[inline(always)]
-    pub fn new(_enabled: bool, _check_hole_sync: bool) -> Auditor {
-        Auditor
-    }
-
-    #[inline(always)]
-    pub fn disabled() -> Auditor {
-        Auditor
-    }
-
-    #[inline(always)]
-    pub fn is_enabled(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    pub fn is_clean(&self) -> bool {
-        true
-    }
-
-    #[inline(always)]
-    pub fn violations(&self) -> Vec<AuditViolation> {
-        Vec::new()
-    }
-
-    #[inline(always)]
-    pub fn on_local_begin(&self, _replica: ReplicaId) {}
-
-    #[inline(always)]
-    pub fn on_local_readonly(&self, _replica: ReplicaId, _xact: XactId, _snapshot: GlobalTid) {}
-
-    #[inline(always)]
-    pub fn on_deliver(&self, _replica: ReplicaId, _xact: XactId, _cert: GlobalTid) {}
-
-    #[inline(always)]
-    pub fn on_verdict(
-        &self,
-        _replica: ReplicaId,
-        _xact: XactId,
-        _cert: GlobalTid,
-        _tid: Option<GlobalTid>,
-        _ws: &std::sync::Arc<sirep_storage::WriteSet>,
-    ) {
-    }
-
-    #[inline(always)]
-    pub fn on_commit(&self, _replica: ReplicaId, _xact: XactId, _tid: GlobalTid) {}
-
-    #[inline(always)]
-    pub fn on_prune(&self, _replica: ReplicaId, _watermark: GlobalTid) {}
-
-    #[inline(always)]
-    pub fn on_replica_reset(
-        &self,
-        _replica: ReplicaId,
-        _last_validated: GlobalTid,
-        _max_committed: GlobalTid,
-        _pending: impl IntoIterator<Item = GlobalTid>,
-    ) {
-    }
-}
-
-#[cfg(all(test, feature = "trace"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use sirep_storage::{Key, WsOp};
@@ -585,7 +462,7 @@ mod tests {
 
     #[test]
     fn clean_identical_run_stays_clean() {
-        let a = Auditor::new(true, true);
+        let a = Auditor::new(true);
         for (seq, r) in [(1, R0), (2, R1)] {
             let x = xact(r.raw(), seq);
             a.on_deliver(R0, x, t(0));
@@ -608,7 +485,7 @@ mod tests {
 
     #[test]
     fn divergent_verdicts_are_flagged() {
-        let a = Auditor::new(true, true);
+        let a = Auditor::new(true);
         let x = xact(0, 1);
         a.on_verdict(R0, x, t(0), Some(t(1)), &ws(&[1]));
         a.on_verdict(R1, x, t(0), None, &ws(&[1]));
@@ -621,7 +498,7 @@ mod tests {
 
     #[test]
     fn conflicting_concurrent_passes_trip_first_committer_wins() {
-        let a = Auditor::new(true, true);
+        let a = Auditor::new(true);
         // Both certified against cert 0, overlapping writesets, both pass:
         // the second one should have been aborted.
         a.on_verdict(R0, xact(0, 1), t(0), Some(t(1)), &ws(&[7]));
@@ -632,7 +509,7 @@ mod tests {
 
     #[test]
     fn serialized_conflicts_are_fine() {
-        let a = Auditor::new(true, true);
+        let a = Auditor::new(true);
         // Same key, but the second certified *after* the first committed
         // (cert covers tid 1) — not concurrent, no violation.
         a.on_verdict(R0, xact(0, 1), t(0), Some(t(1)), &ws(&[7]));
@@ -643,7 +520,7 @@ mod tests {
     #[test]
     fn begin_during_hole_is_flagged_only_when_checking_hole_sync() {
         for (check, dirty) in [(true, true), (false, false)] {
-            let a = Auditor::new(true, check);
+            let a = Auditor::new(check);
             a.on_verdict(R0, xact(0, 1), t(0), Some(t(1)), &ws(&[1]));
             a.on_verdict(R0, xact(0, 2), t(0), Some(t(2)), &ws(&[2]));
             // tid 2 commits first → tid 1 is a hole at R0.
@@ -660,7 +537,7 @@ mod tests {
 
     #[test]
     fn watermark_regression_and_stale_cert_are_flagged() {
-        let a = Auditor::new(true, true);
+        let a = Auditor::new(true);
         a.on_prune(R0, t(5));
         a.on_prune(R0, t(5)); // equal is fine
         assert!(a.is_clean());
@@ -673,7 +550,7 @@ mod tests {
 
     #[test]
     fn replica_reset_rebases_hole_state() {
-        let a = Auditor::new(true, true);
+        let a = Auditor::new(true);
         a.on_verdict(R0, xact(0, 1), t(0), Some(t(1)), &ws(&[1]));
         a.on_verdict(R0, xact(0, 2), t(0), Some(t(2)), &ws(&[2]));
         a.on_commit(R0, xact(0, 2), t(2)); // hole: tid 1
@@ -681,14 +558,5 @@ mod tests {
         a.on_replica_reset(R0, t(2), t(2), []);
         a.on_local_begin(R0);
         assert!(a.is_clean(), "{:?}", a.violations());
-    }
-
-    #[test]
-    fn disabled_auditor_reports_nothing() {
-        let a = Auditor::disabled();
-        a.on_verdict(R0, xact(0, 1), t(0), Some(t(1)), &ws(&[7]));
-        a.on_verdict(R0, xact(1, 1), t(0), Some(t(2)), &ws(&[7]));
-        assert!(a.is_clean());
-        assert!(a.violations().is_empty());
     }
 }

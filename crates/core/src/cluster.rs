@@ -53,9 +53,6 @@ pub struct ClusterConfig {
     pub track_history: bool,
     /// Outcome-log capacity for in-doubt resolution.
     pub outcome_cap: usize,
-    /// Run the online 1-copy-SI auditor (on by default; a no-op without the
-    /// `trace` feature).
-    pub audit: bool,
 }
 
 impl ClusterConfig {
@@ -78,7 +75,6 @@ impl Default for ClusterConfig {
             appliers: 2,
             track_history: false,
             outcome_cap: 1 << 16,
-            audit: true,
         }
     }
 }
@@ -152,12 +148,6 @@ impl ClusterConfigBuilder {
     /// Outcome-log capacity for in-doubt resolution.
     pub fn outcome_cap(mut self, cap: usize) -> Self {
         self.cfg.outcome_cap = cap;
-        self
-    }
-
-    /// Enable/disable the online 1-copy-SI auditor.
-    pub fn audit(mut self, on: bool) -> Self {
-        self.cfg.audit = on;
         self
     }
 
@@ -319,7 +309,7 @@ impl Cluster {
         let epoch = Instant::now();
         // Hole synchronization is only promised under SRCA-Rep — SRCA-Opt
         // deliberately forgoes it, so the auditor must not flag it there.
-        let auditor = Arc::new(Auditor::new(config.audit, config.mode == ReplicationMode::SrcaRep));
+        let auditor = Arc::new(Auditor::new(config.mode == ReplicationMode::SrcaRep));
         let crash_plan = Arc::new(CrashPlan::new());
         let mut member_of = HashMap::new();
         let mut nodes = Vec::with_capacity(config.replicas);
@@ -670,9 +660,9 @@ impl Cluster {
     }
 
     /// Snapshot of every replica's protocol event journal, in replica
-    /// order (empty vectors without the `trace` feature). When a fault
-    /// plan is installed its network-level events (injections, partitions)
-    /// are appended under the pseudo-replica [`NETWORK_REPLICA`].
+    /// order. When a fault plan is installed its network-level events
+    /// (injections, partitions) are appended under the pseudo-replica
+    /// [`NETWORK_REPLICA`].
     pub fn journal_events(&self) -> Vec<(ReplicaId, Vec<Event>)> {
         let mut out: Vec<(ReplicaId, Vec<Event>)> =
             self.nodes.read().iter().map(|n| (n.id(), n.journal.snapshot())).collect();

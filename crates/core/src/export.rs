@@ -282,12 +282,10 @@ mod tests {
         assert!(doc.starts_with('{') && doc.ends_with('}'));
         assert!(doc.contains("\"traceEvents\""));
         assert!(doc.contains("\"process_name\""));
-        if cfg!(feature = "trace") {
-            assert!(doc.contains("\"name\":\"tx_begin\""));
-            // The begin/commit pair produced a complete ("X") span.
-            assert!(doc.contains("\"ph\":\"X\""));
-            assert!(doc.contains("\"name\":\"tx R0.0#1\""));
-        }
+        assert!(doc.contains("\"name\":\"tx_begin\""));
+        // The begin/commit pair produced a complete ("X") span.
+        assert!(doc.contains("\"ph\":\"X\""));
+        assert!(doc.contains("\"name\":\"tx R0.0#1\""));
     }
 
     #[test]

@@ -153,13 +153,11 @@ impl TocommitQueue {
 
     /// Queued writesets not yet picked by an applier (the
     /// `applier_backlog` gauge).
-    #[cfg(feature = "trace")]
     fn backlog(&self) -> usize {
         self.entries.len() - self.running
     }
 
     /// Eligible-but-unclaimed entries (the `ready_len` gauge).
-    #[cfg(feature = "trace")]
     fn ready_len(&self) -> usize {
         self.ready.len()
     }
@@ -343,11 +341,9 @@ pub struct NodeStatus {
     pub view: Vec<ReplicaId>,
     /// Snapshot of this replica's protocol event counters.
     pub metrics: Metrics,
-    /// Snapshot of this replica's per-stage latency histograms (empty when
-    /// the `trace` feature is disabled).
+    /// Snapshot of this replica's per-stage latency histograms.
     pub stages: StageSnapshot,
-    /// Queue-depth gauges with high-water marks (zeros when the `trace`
-    /// feature is disabled).
+    /// Queue-depth gauges with high-water marks.
     pub gauges: GaugeSnapshot,
     /// Wire-level counters of this replica's GCS endpoint (empty on the
     /// sim transport, which has no wire).
@@ -498,14 +494,12 @@ pub struct ReplicaNode {
     incarnation: u64,
     registry: MemberRegistry,
     pub metrics: Arc<Metrics>,
-    /// Per-stage latency histograms fed by transaction traces (no-op when
-    /// the `trace` feature is disabled).
+    /// Per-stage latency histograms fed by transaction traces.
     pub stages: Arc<StageStats>,
     pub recorder: Arc<Recorder>,
-    /// Protocol event journal for this replica (no-op without `trace`).
+    /// Protocol event journal for this replica.
     pub journal: Journal,
-    /// Queue-depth gauges, refreshed at mutation sites under the state
-    /// lock (no-op without `trace`).
+    /// Queue-depth gauges, refreshed at mutation sites under the state lock.
     pub gauges: ProtocolGauges,
     /// Cluster-wide 1-copy-SI auditor; hooks are invoked under the state
     /// lock (the auditor's own lock is a strict leaf).
@@ -671,16 +665,11 @@ impl ReplicaNode {
     }
 
     /// Recompute the cert-state gauges. Called at mutation sites under the
-    /// state lock; compiles away without `trace`.
+    /// state lock.
     fn refresh_gauges(&self, st: &NodeState) {
-        #[cfg(feature = "trace")]
-        {
-            self.gauges.ws_list_len.set(st.wslist.len() as u64);
-            self.gauges.open_holes.set(st.holes.open_holes() as u64);
-            self.gauges.cert_index_keys.set(st.wslist.index_len() as u64);
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = st;
+        self.gauges.ws_list_len.set(st.wslist.len() as u64);
+        self.gauges.open_holes.set(st.holes.open_holes() as u64);
+        self.gauges.cert_index_keys.set(st.wslist.index_len() as u64);
     }
 
     /// Recompute the queue-depth gauges that live behind the applier lock.
@@ -690,14 +679,9 @@ impl ReplicaNode {
     /// observe. Applier drains deliberately skip this (they only *claim*
     /// entries; depth changes on push and remove).
     fn refresh_apply_gauges(&self, _st: &NodeState, ap: &ApplyState) {
-        #[cfg(feature = "trace")]
-        {
-            self.gauges.tocommit_depth.set(ap.queue.len() as u64);
-            self.gauges.applier_backlog.set(ap.queue.backlog() as u64);
-            self.gauges.ready_len.set(ap.queue.ready_len() as u64);
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = ap;
+        self.gauges.tocommit_depth.set(ap.queue.len() as u64);
+        self.gauges.applier_backlog.set(ap.queue.backlog() as u64);
+        self.gauges.ready_len.set(ap.queue.ready_len() as u64);
     }
 
     pub fn id(&self) -> ReplicaId {

@@ -447,11 +447,9 @@ mod tests {
         assert!(prom.contains("sirep_commits_update_total"));
         assert!(prom.contains("sirep_transport_frames_in_total"));
 
-        if cfg!(feature = "trace") {
-            let journals = scrape_journal(&addr).expect("journal");
-            assert_eq!(journals.len(), 3);
-            assert!(journals.iter().any(|(_, events)| !events.is_empty()));
-        }
+        let journals = scrape_journal(&addr).expect("journal");
+        assert_eq!(journals.len(), 3);
+        assert!(journals.iter().any(|(_, events)| !events.is_empty()));
 
         let _ = scrape_gauges(&addr).expect("gauges");
         assert_eq!(scrape_clock_offset(&addr).expect("clock"), 0, "sim shares one epoch");

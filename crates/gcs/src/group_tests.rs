@@ -498,6 +498,9 @@ mod faults {
         // The isolated member's own multicast is buffered, not sequenced.
         assert_eq!(c.multicast_total(99).unwrap(), HELD_SEND_SEQ);
         assert!(b.try_recv().is_none(), "the held send must not leak before heal");
+        // Held copies count as in flight: `TableLockCluster::quiesce` waits
+        // on this gauge, so it must not read zero while a partition holds.
+        assert!(a.in_flight().current > 0, "held deliveries must count as in flight");
         group.heal();
         // The healed member catches up in exactly the order the majority
         // saw, and only then does its buffered send get sequenced.

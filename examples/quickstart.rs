@@ -48,8 +48,7 @@ fn main() {
 
     // The full observability report: counters, queue-depth gauges with
     // their high-water marks, stage latencies, and the 1-copy-SI auditor's
-    // verdict. (With `--no-default-features` the gauges and journal compile
-    // to no-ops and read as zero/empty.)
+    // verdict.
     let report = cluster.metrics();
     println!("\nprotocol counters: {}", report.summary());
     println!("queue-depth gauges (current / high-water):");

@@ -107,9 +107,6 @@ if (( LINT_ELAPSED > 20 )); then
     exit 1
 fi
 
-echo "==> cargo build (trace feature disabled — the no-op observability path)"
-cargo build --offline -p si-rep --no-default-features
-
 if [[ "$QUICK" == "1" ]]; then
     echo "==> cargo test (unit tests only)"
     cargo test --offline --workspace --lib -q
@@ -130,4 +127,4 @@ else
     SIREP_CHAOS_SEEDS=16 cargo test --offline --test chaos_faults -q
 fi
 
-echo "OK: fmt, clippy, sirep-lint, trace-off build, tests all green."
+echo "OK: fmt, clippy, sirep-lint, tests all green."

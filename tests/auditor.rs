@@ -49,25 +49,8 @@ fn clean_runs_report_no_violations() {
     }
 }
 
-/// `audit(false)` turns the auditor off entirely: no bookkeeping, no
-/// violations — even for workloads that would be checked when on.
-#[test]
-fn disabled_auditor_reports_nothing() {
-    let c = Cluster::new(
-        ClusterConfig::builder().replicas(2).mode(ReplicationMode::SrcaRep).audit(false).build(),
-    );
-    c.execute_ddl("CREATE TABLE t (id INT, v INT, PRIMARY KEY (id))").unwrap();
-    let mut s = c.session(0);
-    s.execute("INSERT INTO t VALUES (1, 1)").unwrap();
-    s.commit().unwrap();
-    assert!(c.quiesce(Q));
-    assert!(c.audit_is_clean());
-    assert!(c.metrics().violations.is_empty());
-}
-
 /// Injected-violation tests: these construct an [`Auditor`] and replay the
 /// exact hook sequences the replicas would emit, with one invariant broken.
-#[cfg(feature = "trace")]
 mod injection {
     use si_rep::common::{GlobalTid, ReplicaId};
     use si_rep::core::{AuditKind, Auditor, XactId};
@@ -92,7 +75,7 @@ mod injection {
     /// commit-order divergence.
     #[test]
     fn divergent_verdicts_are_caught() {
-        let a = Auditor::new(true, true);
+        let a = Auditor::new(true);
         let x = xact(R0, 1);
         let ws = ws_on(1);
         a.on_deliver(R0, x, GlobalTid::ZERO);
@@ -112,7 +95,7 @@ mod injection {
     /// writesets cannot both pass certification.
     #[test]
     fn conflicting_concurrent_passes_are_caught() {
-        let a = Auditor::new(true, true);
+        let a = Auditor::new(true);
         let ws = ws_on(7);
         // Both certified against the empty history (cert = 0): concurrent.
         a.on_verdict(R0, xact(R0, 1), GlobalTid::ZERO, Some(GlobalTid::new(1)), &ws);
@@ -128,7 +111,7 @@ mod injection {
     /// (a validated-but-uncommitted tid below the commit frontier).
     #[test]
     fn begin_during_hole_is_caught() {
-        let a = Auditor::new(true, true);
+        let a = Auditor::new(true);
         let (x1, x2) = (xact(R0, 1), xact(R0, 2));
         a.on_verdict(R0, x1, GlobalTid::ZERO, Some(GlobalTid::new(1)), &ws_on(1));
         a.on_verdict(R0, x2, GlobalTid::ZERO, Some(GlobalTid::new(2)), &ws_on(2));
@@ -146,7 +129,7 @@ mod injection {
     /// watermark, and no delivered writeset may carry a cert below it.
     #[test]
     fn watermark_regression_is_caught() {
-        let a = Auditor::new(true, true);
+        let a = Auditor::new(true);
         a.on_prune(R0, GlobalTid::new(10));
         a.on_prune(R0, GlobalTid::new(4));
         let v = a.violations();
@@ -155,16 +138,4 @@ mod injection {
             "expected a watermark violation, got {v:?}"
         );
     }
-}
-
-/// With tracing compiled out the auditor is a no-op: the same API exists
-/// and every query reports "clean".
-#[cfg(not(feature = "trace"))]
-#[test]
-fn stub_auditor_has_same_api_and_stays_clean() {
-    use si_rep::core::Auditor;
-    let a = Auditor::new(true, true);
-    assert!(a.is_clean());
-    assert!(a.violations().is_empty());
-    assert!(!a.is_enabled());
 }

@@ -8,13 +8,10 @@
 //!    origin replica and on the remote appliers, so the fig5/fig7
 //!    breakdown tables never show a silently-missing stage.
 
-use si_rep::common::Metrics;
+use si_rep::common::{Metrics, Stage, TxTrace};
 use si_rep::core::{Cluster, ClusterConfig, Connection};
 use std::sync::Arc;
 use std::time::Duration;
-
-#[cfg(feature = "trace")]
-use si_rep::common::{Stage, TxTrace};
 
 const Q: Duration = Duration::from_secs(20);
 
@@ -107,7 +104,6 @@ fn metrics_accounting_invariant() {
 /// A committed update transaction leaves a sample in every lifecycle stage
 /// it passes through: execute/ws-extract/deliver/validate/commit/total on
 /// the origin, deliver/validate/apply/commit on the remote replica.
-#[cfg(feature = "trace")]
 #[test]
 fn committed_txns_mark_every_stage() {
     let c = cluster(2);
@@ -158,7 +154,6 @@ fn committed_txns_mark_every_stage() {
 /// The protocol event journal captures the full lifecycle of an update
 /// transaction: begin/cert/multicast/deliver/verdict/commit at the origin,
 /// deliver/verdict/apply/commit at the remotes.
-#[cfg(feature = "trace")]
 #[test]
 fn journal_records_the_protocol_lifecycle() {
     let c = cluster(2);
@@ -201,24 +196,19 @@ fn journal_records_the_protocol_lifecycle() {
     }
 }
 
-/// With tracing compiled out, the journal API still exists but records
-/// nothing; with it on, records are kept up to the bounded capacity.
+/// The journal is a bounded ring: it keeps the newest `capacity` events and
+/// counts the ones it evicted.
 #[test]
-fn journal_stub_has_same_api() {
+fn journal_ring_keeps_newest_events() {
     use si_rep::common::{EventKind, Journal, ReplicaId, XactId};
     let j = Journal::with_epoch(ReplicaId::new(0), std::time::Instant::now(), 4);
     for seq in 0..6 {
         j.record(EventKind::TxBegin { xact: XactId::new(ReplicaId::new(0), seq) });
     }
     let events = j.snapshot();
-    if cfg!(feature = "trace") {
-        assert_eq!(events.len(), 4, "ring keeps the newest `capacity` events");
-        assert_eq!(j.dropped(), 2);
-        assert_eq!(events[0].kind.name(), "tx_begin");
-    } else {
-        assert!(events.is_empty());
-        assert_eq!(j.dropped(), 0);
-    }
+    assert_eq!(events.len(), 4, "ring keeps the newest `capacity` events");
+    assert_eq!(j.dropped(), 2);
+    assert_eq!(events[0].kind.name(), "tx_begin");
 }
 
 /// The Perfetto/Chrome-trace export is well-formed JSON (checked with a
@@ -239,9 +229,7 @@ fn perfetto_export_is_valid_json() {
     json_check::validate(&doc).unwrap_or_else(|e| panic!("invalid JSON at byte {e}: {doc}"));
     assert!(doc.contains("\"traceEvents\""));
     assert!(doc.contains("\"replica R0\"") && doc.contains("\"replica R1\""));
-    if cfg!(feature = "trace") {
-        assert!(doc.contains("\"ph\":\"X\""), "expected complete spans in {doc}");
-    }
+    assert!(doc.contains("\"ph\":\"X\""), "expected complete spans in {doc}");
 }
 
 /// The Prometheus rendering follows the text exposition format: every
@@ -298,7 +286,6 @@ fn prometheus_export_is_well_formed() {
 
 /// Queue-depth gauges: high-water marks never sit below a current reading,
 /// and a run that certified writesets leaves a nonzero ws_list high-water.
-#[cfg(feature = "trace")]
 #[test]
 fn gauges_track_queue_depths() {
     let c = cluster(2);
@@ -473,7 +460,6 @@ mod json_check {
 
 /// Stage offsets recorded by a trace are monotone in lifecycle order: a
 /// later stage never reports an earlier completion time.
-#[cfg(feature = "trace")]
 #[test]
 fn trace_offsets_are_monotone_and_complete() {
     let mut t = TxTrace::start();

@@ -180,20 +180,15 @@ fn donor_crash_mid_state_transfer_retries_with_another_donor() {
     assert!(c.quiesce(Q));
     assert_eq!(sum_at(&c, 1), 6);
     assert!(c.audit_is_clean());
-    // The fired point is on the donor's journal (trace builds only).
-    #[cfg(feature = "trace")]
-    {
-        let events = c.journal_events();
-        let fired = events.iter().find(|(id, _)| id.index() == 0).is_some_and(|(_, evs)| {
-            evs.iter().any(|e| {
-                matches!(
-                    e.kind,
-                    sirep_common::EventKind::CrashPointFired {
-                        point: CrashPoint::MidStateTransfer
-                    }
-                )
-            })
-        });
-        assert!(fired, "CrashPointFired must be journaled on the donor");
-    }
+    // The fired point is on the donor's journal.
+    let events = c.journal_events();
+    let fired = events.iter().find(|(id, _)| id.index() == 0).is_some_and(|(_, evs)| {
+        evs.iter().any(|e| {
+            matches!(
+                e.kind,
+                sirep_common::EventKind::CrashPointFired { point: CrashPoint::MidStateTransfer }
+            )
+        })
+    });
+    assert!(fired, "CrashPointFired must be journaled on the donor");
 }
