@@ -313,6 +313,10 @@ impl Auditor {
                     if st.history.len() >= HISTORY_CAP {
                         st.history.pop_front();
                     }
+                    debug_assert!(
+                        st.history.back().is_none_or(|h| h.tid < t),
+                        "first verdicts must arrive in tid order"
+                    );
                     st.history.push_back(CertRecord { tid: t, cert, ws: Arc::clone(ws) });
                 }
             }
@@ -338,6 +342,10 @@ impl Auditor {
     /// cert `cb`) with `a < b` are *concurrent* iff `cb < a` — B's snapshot
     /// predates A's commit. If their writesets also intersect, certification
     /// should have aborted B: both passing violates first-committer-wins.
+    ///
+    /// First verdicts arrive in total order, so `history` ascends by tid and
+    /// every entry is an A for this B. The walk runs newest first and stops
+    /// at the first entry with `a <= cb`: no older entry can be concurrent.
     fn check_first_committer_wins(
         &self,
         st: &mut AuditState,
@@ -348,9 +356,11 @@ impl Auditor {
         ws: &WriteSet,
     ) {
         let mut hit = None;
-        for h in st.history.iter() {
-            let concurrent = if tid > h.tid { cert < h.tid } else { h.cert < tid };
-            if concurrent && h.ws.intersects(ws) {
+        for h in st.history.iter().rev() {
+            if h.tid <= cert {
+                break;
+            }
+            if h.ws.intersects(ws) {
                 hit = Some((h.tid, h.cert));
                 break;
             }
@@ -503,6 +513,22 @@ mod tests {
         // the second one should have been aborted.
         a.on_verdict(R0, xact(0, 1), t(0), Some(t(1)), &ws(&[7]));
         a.on_verdict(R0, xact(1, 1), t(0), Some(t(2)), &ws(&[7, 9]));
+        let v = a.violations();
+        assert!(v.iter().any(|v| v.kind == AuditKind::FirstCommitterWins), "{v:?}");
+    }
+
+    #[test]
+    fn bounded_walk_still_finds_a_conflict_far_back() {
+        let a = Auditor::new(true);
+        // The conflicting entry (key 7, tid 1) is 1,200 entries back; the
+        // entries in between write disjoint keys. A cert of 0 predates it,
+        // so the newest-first walk must reach it before it stops.
+        a.on_verdict(R0, xact(0, 1), t(0), Some(t(1)), &ws(&[7]));
+        for n in 2..1_202 {
+            a.on_verdict(R0, xact(0, n), t(n - 1), Some(t(n)), &ws(&[1_000 + n as i64]));
+        }
+        assert!(a.is_clean(), "{:?}", a.violations());
+        a.on_verdict(R0, xact(1, 1), t(0), Some(t(1_202)), &ws(&[7]));
         let v = a.violations();
         assert!(v.iter().any(|v| v.kind == AuditKind::FirstCommitterWins), "{v:?}");
     }

@@ -215,9 +215,12 @@ impl TocommitQueue {
     }
 
     /// Remove a committed (or discarded) entry, releasing its successors'
-    /// blocker edges; newly eligible entries move onto the ready set.
-    fn remove(&mut self, tid: GlobalTid) -> Option<QEntry> {
-        let e = self.entries.remove(&tid)?;
+    /// blocker edges; newly eligible entries move onto the ready set. Returns
+    /// the tids this made ready, so the caller wakes appliers only when
+    /// there is new work for them.
+    fn remove(&mut self, tid: GlobalTid) -> Vec<GlobalTid> {
+        let mut made_ready = Vec::new();
+        let Some(e) = self.entries.remove(&tid) else { return made_ready };
         if e.running {
             self.running -= 1;
         } else {
@@ -233,6 +236,7 @@ impl TocommitQueue {
                     s.blockers -= 1;
                     if s.blockers == 0 && !s.running {
                         self.ready.insert(succ);
+                        made_ready.push(succ);
                     }
                 }
             }
@@ -240,7 +244,7 @@ impl TocommitQueue {
                 self.waiters.remove(id);
             }
         }
-        Some(e)
+        made_ready
     }
 }
 
@@ -1186,7 +1190,7 @@ impl ReplicaNode {
             } else {
                 None
             };
-            {
+            let wake_applier = {
                 let mut ap = self.apply.lock();
                 ap.queue.push(QEntry {
                     tid,
@@ -1198,7 +1202,10 @@ impl ReplicaNode {
                     trace: TxTrace::starting_at(delivered_at),
                 });
                 self.refresh_apply_gauges(&st, &ap);
-            }
+                // A local entry arrives already running, and a blocked one
+                // waits for a removal to make it ready: neither is work.
+                ap.queue.ready_len() > 0
+            };
             st.outcomes.record(m.xact, Outcome::Committed);
             self.refresh_gauges(&st);
             drop(st);
@@ -1206,7 +1213,9 @@ impl ReplicaNode {
                 let _ = responder.send(Ok(job));
             }
             self.cond.notify_all();
-            self.apply_cond.notify_all();
+            if wake_applier {
+                self.apply_cond.notify_one();
+            }
         } else {
             st.outcomes.record(m.xact, Outcome::Aborted);
             Metrics::inc(&self.metrics.ws_discarded);
@@ -1412,15 +1421,17 @@ impl ReplicaNode {
             self.journal.record(EventKind::Commit { xact: item.xact, tid: item.tid });
             self.auditor.on_commit(self.id, item.xact, item.tid);
         }
-        {
+        let wake_appliers = {
             // O(|ws| + released edges) per entry: unblocks successors,
             // which the apply_cond notify below wakes the appliers for.
             let mut ap = self.apply.lock();
+            let mut made_ready = false;
             for item in &batch {
-                ap.queue.remove(item.tid);
+                made_ready |= !ap.queue.remove(item.tid).is_empty();
             }
             self.refresh_apply_gauges(&st, &ap);
-        }
+            made_ready
+        };
         self.refresh_gauges(&st);
         drop(st);
         for item in &batch {
@@ -1428,7 +1439,9 @@ impl ReplicaNode {
             self.stages.absorb(&item.trace);
         }
         self.cond.notify_all();
-        self.apply_cond.notify_all();
+        if wake_appliers {
+            self.apply_cond.notify_all();
+        }
     }
 
     /// Commit a validated *local* transaction on its session thread
@@ -1467,13 +1480,14 @@ impl ReplicaNode {
         }
         self.journal.record(EventKind::Commit { xact, tid });
         self.auditor.on_commit(self.id, xact, tid);
-        {
+        let wake_appliers = {
             // O(|ws| + released edges): unblocks successors, which the
             // apply_cond notify below wakes the appliers for.
             let mut ap = self.apply.lock();
-            ap.queue.remove(tid);
+            let made_ready = !ap.queue.remove(tid).is_empty();
             self.refresh_apply_gauges(&st, &ap);
-        }
+            made_ready
+        };
         self.refresh_gauges(&st);
         drop(st);
         // Remote timelines start at delivery, not begin; local ones span
@@ -1481,7 +1495,9 @@ impl ReplicaNode {
         trace.mark(Stage::Total);
         self.stages.absorb(&trace);
         self.cond.notify_all();
-        self.apply_cond.notify_all();
+        if wake_appliers {
+            self.apply_cond.notify_all();
+        }
     }
 
     // ---------------------------------------------------------------------
@@ -1519,3 +1535,45 @@ impl ReplicaNode {
 /// never does.
 #[allow(dead_code)]
 struct RecordingNotes;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sirep_storage::{Key, WsOp};
+
+    fn entry(tid: u64, keys: &[i64], running: bool) -> QEntry {
+        let mut ws = WriteSet::new();
+        for &k in keys {
+            ws.push(Arc::from("t"), Key::single(k), WsOp::Delete);
+        }
+        QEntry {
+            tid: GlobalTid::new(tid),
+            xact: XactId { origin: ReplicaId::new(0), seq: tid },
+            ws: Arc::new(ws),
+            origin: ReplicaId::new(0),
+            running,
+            blockers: 0,
+            trace: TxTrace::starting_at(Instant::now()),
+        }
+    }
+
+    #[test]
+    fn remove_reports_the_successors_it_makes_ready() {
+        let mut q = TocommitQueue::new();
+        // tid 1 is a local entry (already running); tid 2 waits on key 7,
+        // tid 3 on keys 7 and 8 behind both; tid 4 is independent.
+        q.push(entry(1, &[7], true));
+        q.push(entry(2, &[7], false));
+        q.push(entry(3, &[7, 8], false));
+        q.push(entry(4, &[9], false));
+        assert_eq!(q.ready_len(), 1, "only the independent entry is ready");
+        assert_eq!(q.remove(GlobalTid::new(1)), vec![GlobalTid::new(2)]);
+        assert_eq!(q.pop_ready().map(|e| e.tid), Some(GlobalTid::new(2)));
+        assert_eq!(q.remove(GlobalTid::new(2)), vec![GlobalTid::new(3)]);
+        // Removing an entry nobody waits on makes nothing ready, and
+        // removing an unknown tid is a no-op.
+        assert!(q.remove(GlobalTid::new(4)).is_empty());
+        assert!(q.remove(GlobalTid::new(99)).is_empty());
+        assert_eq!(q.len(), 1);
+    }
+}

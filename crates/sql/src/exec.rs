@@ -1,11 +1,16 @@
 //! Statement execution over a [`sirep_storage::TxnHandle`].
 //!
 //! A light planning step turns `WHERE` clauses that pin every primary-key
-//! column with an equality literal into point reads; everything else is a
-//! snapshot scan with a compiled predicate. This matters for fidelity, not
-//! just speed: the cost model charges scans per visited row, so the planner
-//! determines how much simulated I/O a statement consumes — mirroring the
-//! indexed-vs-sequential distinction in the paper's PostgreSQL setup.
+//! column with an equality literal into point reads, and clauses that pin a
+//! leading run of key columns into range scans over that key prefix;
+//! everything else is a full snapshot scan with a compiled predicate. This
+//! matters for fidelity, not just speed: the cost model charges scans per
+//! visited row, so the planner determines how much simulated I/O a
+//! statement consumes — mirroring the indexed-vs-sequential distinction in
+//! the paper's PostgreSQL setup.
+//!
+//! Scans return shared row pointers: ORDER BY sorts pointers, and only the
+//! projected values of the rows that survive LIMIT are copied out.
 
 use crate::ast::*;
 use crate::parser::parse;
@@ -13,6 +18,7 @@ use sirep_common::wire::{Wire, WireError, WireReader};
 use sirep_common::DbError;
 use sirep_storage::{Database, Key, Row, TableSchema, TxnHandle, Value};
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// The result of executing one statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,7 +144,7 @@ pub fn execute(db: &Database, txn: &TxnHandle, stmt: &Statement) -> Result<ExecR
             let matching = fetch_matching(txn, db, table, &schema, predicate.as_ref())?;
             let n = matching.len();
             for old in matching {
-                let mut new = old.clone();
+                let mut new = Row::clone(&old);
                 for (idx, e) in &compiled_sets {
                     new[*idx] = eval(e, &old);
                 }
@@ -161,69 +167,68 @@ pub fn execute(db: &Database, txn: &TxnHandle, stmt: &Statement) -> Result<ExecR
     }
 }
 
-/// Fetch all rows matching a predicate. Plan, in order of preference:
+/// Fetch all rows matching a predicate, as shared pointers in primary-key
+/// order. Plan, in order of preference:
 /// 1. **point read** when the predicate pins the full primary key;
 /// 2. **secondary-index lookup** when an equality conjunct hits an indexed
 ///    column (candidates are re-checked against the full predicate);
-/// 3. **full scan** otherwise.
+/// 3. **key-prefix range scan** over the longest leading run of key columns
+///    the predicate pins; with no column pinned this is the full scan.
 fn fetch_matching(
     txn: &TxnHandle,
     db: &Database,
     table: &str,
     schema: &TableSchema,
     predicate: Option<&Expr>,
-) -> Result<Vec<Row>, DbError> {
-    match predicate {
-        None => txn.scan(table, |_| true),
-        Some(pred) => {
-            let compiled = compile(pred, schema)?;
-            if let Some(key) = point_key(pred, schema) {
-                // Point read; re-check the full predicate (it may contain
-                // more conjuncts than the key columns).
-                return match txn.read(table, &key)? {
-                    Some(row) if truthy(&eval(&compiled, &row)) => Ok(vec![row]),
-                    _ => Ok(Vec::new()),
-                };
+) -> Result<Vec<Arc<Row>>, DbError> {
+    let Some(pred) = predicate else {
+        return txn.scan_prefix(table, &[], |_| true);
+    };
+    let compiled = compile(pred, schema)?;
+    let prefix = pinned_key_prefix(pred, schema);
+    if prefix.len() == schema.pk.len() {
+        // Point read; re-check the full predicate (it may contain more
+        // conjuncts than the key columns).
+        return match txn.read(table, &Key(prefix))? {
+            Some(row) if truthy(&eval(&compiled, &row)) => Ok(vec![Arc::new(row)]),
+            _ => Ok(Vec::new()),
+        };
+    }
+    // Secondary index: first equality conjunct on an indexed column.
+    let indexed = db.indexed_columns(table);
+    if !indexed.is_empty() {
+        for conj in pred.conjuncts() {
+            let Some((col, value)) = conj.as_column_eq_literal() else {
+                continue;
+            };
+            let Some(idx) = schema.column_index(col) else {
+                continue;
+            };
+            if !indexed.contains(&idx) {
+                continue;
             }
-            // Secondary index: first equality conjunct on an indexed column.
-            let indexed = db.indexed_columns(table);
-            if !indexed.is_empty() {
-                for conj in pred.conjuncts() {
-                    let Some((col, value)) = conj.as_column_eq_literal() else {
-                        continue;
-                    };
-                    let Some(idx) = schema.column_index(col) else {
-                        continue;
-                    };
-                    if !indexed.contains(&idx) {
-                        continue;
-                    }
-                    if let Some(candidates) = txn.index_lookup(table, idx, value)? {
-                        return Ok(candidates
-                            .into_iter()
-                            .filter(|row| truthy(&eval(&compiled, row)))
-                            .collect());
-                    }
-                }
+            if let Some(mut candidates) = txn.index_lookup(table, idx, value)? {
+                candidates.retain(|row| truthy(&eval(&compiled, row)));
+                return Ok(candidates);
             }
-            txn.scan(table, |row| truthy(&eval(&compiled, row)))
         }
     }
+    txn.scan_prefix(table, &prefix, |row| truthy(&eval(&compiled, row)))
 }
 
-/// If every PK column is pinned by `col = literal` in the top-level AND
-/// conjunction, build the point-read key.
-fn point_key(pred: &Expr, schema: &TableSchema) -> Option<Key> {
-    let conjuncts = pred.conjuncts();
-    let mut parts: Vec<Option<Value>> = vec![None; schema.pk.len()];
-    for c in conjuncts {
+/// The values that `col = literal` conjuncts in the top-level AND pin to
+/// the primary key's leading columns, up to the first unpinned one. The
+/// whole key when every key column is pinned.
+fn pinned_key_prefix(pred: &Expr, schema: &TableSchema) -> Vec<Value> {
+    let mut parts: Vec<Option<&Value>> = vec![None; schema.pk.len()];
+    for c in pred.conjuncts() {
         if let Some((col, v)) = c.as_column_eq_literal() {
             if let Some(pos) = schema.pk.iter().position(|&i| schema.columns[i].name == col) {
-                parts[pos] = Some(v.clone());
+                parts[pos] = Some(v);
             }
         }
     }
-    parts.into_iter().collect::<Option<Vec<Value>>>().map(Key)
+    parts.into_iter().map_while(std::convert::identity).cloned().collect()
 }
 
 fn select(db: &Database, txn: &TxnHandle, sel: &Select) -> Result<ExecResult, DbError> {
@@ -322,7 +327,7 @@ fn aggregate(
     func: AggFunc,
     arg: &AggArg,
     schema: &TableSchema,
-    rows: &[Row],
+    rows: &[Arc<Row>],
 ) -> Result<(String, Value), DbError> {
     let col_idx = match arg {
         AggArg::Star => None,
@@ -330,7 +335,7 @@ fn aggregate(
             Some(schema.column_index(c).ok_or_else(|| DbError::UnknownColumn(c.clone()))?)
         }
     };
-    let non_null = |rows: &[Row]| -> Vec<Value> {
+    let non_null = |rows: &[Arc<Row>]| -> Vec<Value> {
         let Some(i) = col_idx else { return Vec::new() };
         rows.iter().map(|r| r[i].clone()).filter(|v| !v.is_null()).collect()
     };

@@ -1,12 +1,12 @@
 //! Property-based tests for the SQL layer: random ASTs roundtrip through
 //! print → parse, and random WHERE predicates evaluate identically on the
-//! fast point-read path and the scan path.
+//! fast point-read and key-prefix paths and the full-scan path.
 
 use crate::ast::*;
 use crate::exec::execute;
 use crate::parse;
 use proptest::prelude::*;
-use sirep_storage::{Database, Value};
+use sirep_storage::{Database, Key, TxnHandle, Value};
 
 fn ident() -> impl Strategy<Value = String> {
     // Avoid reserved words; keep identifiers short and lowercase like the
@@ -138,6 +138,89 @@ proptest! {
         )
         .unwrap();
         prop_assert_eq!(point.rows(), scan.rows());
+        t.commit().unwrap();
+    }
+}
+
+/// One write of a generated workload: `(o, l)` key, value, and kind
+/// (0 insert-or-update, 1 update, 2 delete).
+type OlWrite = ((i64, i64), i64, u8);
+
+fn ol_writes(l_parity: i64) -> impl Strategy<Value = Vec<OlWrite>> {
+    prop::collection::vec(
+        ((0i64..6, (0i64..3).prop_map(move |l| 2 * l + l_parity)), 0i64..100, 0u8..3),
+        0..10,
+    )
+}
+
+fn apply_ol_writes(db: &Database, t: &TxnHandle, writes: &[OlWrite]) {
+    for &((o, l), v, kind) in writes {
+        let sql = match kind {
+            0 if t.read("ol", &Key(vec![Value::Int(o), Value::Int(l)])).unwrap().is_none() => {
+                format!("INSERT INTO ol VALUES ({o}, {l}, {v})")
+            }
+            0 | 1 => format!("UPDATE ol SET v = {v} WHERE o = {o} AND l = {l}"),
+            _ => format!("DELETE FROM ol WHERE o = {o} AND l = {l}"),
+        };
+        execute(db, t, &parse(&sql).unwrap()).unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
+
+    /// A WHERE clause that pins the leading column of a composite key must
+    /// return the same rows, in the same order, and track the same reads
+    /// through the prefix range plan as through a full scan — over a
+    /// snapshot that predates later commits, with the transaction's own
+    /// inserts, updates and deletes merged in.
+    #[test]
+    fn prefix_plan_agrees_with_scan_plan(
+        rows in prop::collection::btree_map((0i64..6, 0i64..6), 0i64..100, 1..30),
+        later in ol_writes(0),
+        own in ol_writes(1),
+        probe in prop_oneof![
+            (0i64..6).prop_map(Value::Int),
+            (0i64..12).prop_map(|x| Value::Float(x as f64 / 2.0)),
+            Just(Value::Null),
+        ],
+        bound in 0i64..100,
+    ) {
+        let db = Database::in_memory();
+        let setup = db.begin().unwrap();
+        execute(
+            &db,
+            &setup,
+            &parse("CREATE TABLE ol (o INT, l INT, v INT, PRIMARY KEY (o, l))").unwrap(),
+        )
+        .unwrap();
+        for ((o, l), v) in &rows {
+            execute(&db, &setup, &parse(&format!("INSERT INTO ol VALUES ({o}, {l}, {v})")).unwrap())
+                .unwrap();
+        }
+        setup.commit().unwrap();
+        db.set_track_reads(true);
+
+        let t = db.begin().unwrap();
+        // Commits after t's snapshot write even `l`, t's own writes odd
+        // `l`, so neither blocks on or aborts the other.
+        let w = db.begin().unwrap();
+        apply_ol_writes(&db, &w, &later);
+        w.commit().unwrap();
+        apply_ol_writes(&db, &t, &own);
+
+        let probe = Expr::Literal(probe);
+        let run = |pinned: &str| {
+            let before = t.read_keys().len();
+            let sql = format!("SELECT o, l, v FROM ol WHERE {pinned} = {probe} AND v < {bound}");
+            let out = execute(&db, &t, &parse(&sql).unwrap()).unwrap();
+            (out, t.read_keys().split_off(before))
+        };
+        // `o + 0` defeats the planner, so the second run is a full scan.
+        let (prefix, prefix_reads) = run("o");
+        let (scan, scan_reads) = run("o + 0");
+        prop_assert_eq!(prefix.rows(), scan.rows());
+        prop_assert_eq!(prefix_reads, scan_reads);
         t.commit().unwrap();
     }
 }

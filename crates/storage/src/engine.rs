@@ -28,7 +28,7 @@ use crate::cost::{CostGate, CostModel};
 use crate::index::SecondaryIndex;
 use crate::lock::{LockId, LockManager};
 use crate::schema::TableSchema;
-use crate::value::{Key, Row};
+use crate::value::{Key, Row, Value};
 use crate::version::{CommitTs, Version, VersionChain};
 use crate::writeset::{WriteSet, WsEntry, WsOp};
 use parking_lot::{Mutex, RwLock};
@@ -332,6 +332,27 @@ impl DbInner {
     }
 }
 
+/// Which keys a snapshot walk visits.
+enum Probe<'a> {
+    /// Every key that starts with these values; an empty prefix is the
+    /// whole table.
+    Prefix(&'a [Value]),
+    /// These keys, ascending (secondary-index candidates).
+    Keys(Vec<Key>),
+}
+
+impl Probe<'_> {
+    /// Whether an own write to `key` belongs in this walk's result.
+    fn covers(&self, key: &Key) -> bool {
+        match self {
+            Probe::Prefix(prefix) => key.0.starts_with(prefix),
+            // Index candidates miss uncommitted writes; the value recheck
+            // decides.
+            Probe::Keys(_) => true,
+        }
+    }
+}
+
 /// A handle to one active transaction. Dropping an unterminated handle
 /// aborts the transaction (like closing a JDBC connection mid-transaction).
 pub struct TxnHandle {
@@ -382,82 +403,51 @@ impl TxnHandle {
                 WsOp::Delete => None,
             });
         }
-        let result = {
+        let shared = {
             let rows = t.rows.read();
-            rows.get(key).and_then(|c| c.visible_row(self.state.snapshot)).map(|r| (**r).clone())
+            rows.get(key).and_then(|c| c.visible_row(self.state.snapshot)).cloned()
         };
-        if result.is_some() && self.db.track_reads.load(Ordering::Relaxed) {
+        if shared.is_some() && self.db.track_reads.load(Ordering::Relaxed) {
             self.state.read_keys.lock().push((t.name.clone(), key.clone()));
         }
-        Ok(result)
+        Ok(shared.map(Arc::unwrap_or_clone))
     }
 
     /// Snapshot scan with a row predicate; includes own writes. Rows are
     /// returned in primary-key order.
-    pub fn scan(
+    pub fn scan(&self, table: &str, pred: impl FnMut(&Row) -> bool) -> Result<Vec<Row>, DbError> {
+        let rows = self.scan_prefix(table, &[], pred)?;
+        Ok(rows.into_iter().map(Arc::unwrap_or_clone).collect())
+    }
+
+    /// Snapshot range scan over the keys that start with `prefix` (an empty
+    /// prefix is the whole table), filtered by `pred`, with own writes
+    /// merged in. Rows come back in primary-key order as shared pointers:
+    /// callers that keep only some of them deep-copy only those.
+    pub fn scan_prefix(
         &self,
         table: &str,
-        mut pred: impl FnMut(&Row) -> bool,
-    ) -> Result<Vec<Row>, DbError> {
+        prefix: &[Value],
+        pred: impl FnMut(&Row) -> bool,
+    ) -> Result<Vec<Arc<Row>>, DbError> {
         self.check_active()?;
         let t = self.db.table(table)?;
-        let buffer = self.state.buffer.lock();
-        let rows = t.rows.read();
-        let track = self.db.track_reads.load(Ordering::Relaxed);
-        let mut tracked: Vec<(Arc<str>, Key)> = Vec::new();
-        let mut out: Vec<(Key, Row)> = Vec::new();
-        let mut visited = 0usize;
-        for (key, chain) in rows.iter() {
-            visited += 1;
-            let mut from_snapshot = false;
-            let effective: Option<Row> = match buffer.get(table, key) {
-                Some(WsOp::Put(r)) => Some(r.clone()),
-                Some(WsOp::Delete) => None,
-                None => {
-                    from_snapshot = true;
-                    chain.visible_row(self.state.snapshot).map(|r| (**r).clone())
-                }
-            };
-            if let Some(row) = effective {
-                if pred(&row) {
-                    if track && from_snapshot {
-                        tracked.push((t.name.clone(), key.clone()));
-                    }
-                    out.push((key.clone(), row));
-                }
-            }
-        }
-        // Own inserts for keys not yet present in the table map.
-        for e in buffer.entries() {
-            if &*e.table == table && !rows.contains_key(&e.key) {
-                if let WsOp::Put(row) = &e.op {
-                    if pred(row) {
-                        out.push((e.key.clone(), row.clone()));
-                    }
-                }
-            }
-        }
-        drop(rows);
-        drop(buffer);
-        if !tracked.is_empty() {
-            self.state.read_keys.lock().extend(tracked);
-        }
+        let (rows, visited) = self.walk(&t, Probe::Prefix(prefix), pred);
         self.db.cost.scan(visited);
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(out.into_iter().map(|(_, r)| r).collect())
+        Ok(rows)
     }
 
     /// Equality lookup through a secondary index: fetch candidate keys from
     /// the index, read each through normal snapshot visibility, recheck the
     /// value, and merge the transaction's own writes. Returns `None` when
     /// no index exists on `column` (the caller falls back to a scan). Rows
-    /// come back in primary-key order, like [`TxnHandle::scan`].
+    /// come back in primary-key order, like [`TxnHandle::scan_prefix`].
     pub fn index_lookup(
         &self,
         table: &str,
         column: usize,
-        value: &crate::value::Value,
-    ) -> Result<Option<Vec<Row>>, DbError> {
+        value: &Value,
+    ) -> Result<Option<Vec<Arc<Row>>>, DbError> {
         self.check_active()?;
         let t = self.db.table(table)?;
         let candidates: Vec<Key> = {
@@ -469,47 +459,88 @@ impl TxnHandle {
         };
         // Index probe + per-candidate heap fetch.
         self.db.cost.read();
+        // Recheck: the index is a candidate set, not the truth. Own writes
+        // are invisible to the index; the walk merges every matching one.
+        let (rows, _) = self.walk(&t, Probe::Keys(candidates), |row| &row[column] == value);
+        self.db.cost.scan(rows.len());
+        Ok(Some(rows))
+    }
+
+    /// The one snapshot walk behind scans and index lookups. Under the
+    /// table's `rows` read lock it only checks visibility and copies row
+    /// pointers, so a commit waiting for that lock waits for a pointer
+    /// copy, never for `pred` or a deep clone. The predicate, read
+    /// tracking and the merge of the transaction's own writes run after
+    /// the guard drops. Returns the matching rows in key order and the
+    /// number of keys visited.
+    fn walk(
+        &self,
+        t: &Table,
+        probe: Probe<'_>,
+        mut pred: impl FnMut(&Row) -> bool,
+    ) -> (Vec<Arc<Row>>, usize) {
         let buffer = self.state.buffer.lock();
-        let rows = t.rows.read();
-        let mut out: Vec<(Key, Row)> = Vec::new();
-        for key in candidates {
-            let effective: Option<Row> = match buffer.get(table, &key) {
-                Some(WsOp::Put(r)) => Some(r.clone()),
-                Some(WsOp::Delete) => None,
-                None => rows
-                    .get(&key)
-                    .and_then(|c| c.visible_row(self.state.snapshot))
-                    .map(|r| (**r).clone()),
-            };
-            if let Some(row) = effective {
-                // Recheck: the index is a candidate set, not the truth.
-                if &row[column] == value {
-                    out.push((key, row));
+        // Own writes override the snapshot for their keys.
+        let own: BTreeMap<&Key, &WsOp> = buffer
+            .entries()
+            .iter()
+            .filter(|e| e.table == t.name && probe.covers(&e.key))
+            .map(|e| (&e.key, &e.op))
+            .collect();
+        let snapshot = self.state.snapshot;
+        let mut out: Vec<Arc<Row>> = Vec::new();
+        let mut visited = 0usize;
+        {
+            let rows = t.rows.read();
+            let mut take = |key: &Key, chain: &VersionChain| {
+                if !own.contains_key(key) {
+                    if let Some(row) = chain.visible_row(snapshot) {
+                        out.push(Arc::clone(row));
+                    }
                 }
-            }
-        }
-        // Own inserts/updates not yet committed are invisible to the index;
-        // merge matching buffered rows for keys not already collected.
-        for e in buffer.entries() {
-            if &*e.table == table {
-                if let WsOp::Put(row) = &e.op {
-                    if &row[column] == value && !out.iter().any(|(k, _)| k == &e.key) {
-                        out.push((e.key.clone(), row.clone()));
+            };
+            match &probe {
+                Probe::Prefix(prefix) => {
+                    let from = Key(prefix.to_vec());
+                    for (key, chain) in
+                        rows.range(from..).take_while(|(k, _)| k.0.starts_with(prefix))
+                    {
+                        visited += 1;
+                        take(key, chain);
+                    }
+                }
+                Probe::Keys(keys) => {
+                    for key in keys {
+                        if let Some(chain) = rows.get(key) {
+                            visited += 1;
+                            take(key, chain);
+                        }
                     }
                 }
             }
         }
-        drop(rows);
-        drop(buffer);
-        if self.db.track_reads.load(Ordering::Relaxed) {
-            let mut tracked = self.state.read_keys.lock();
-            for (k, _) in &out {
-                tracked.push((t.name.clone(), k.clone()));
+        out.retain(|row| pred(row));
+        // Only rows read from the snapshot are reads; a stored row's key is
+        // its primary-key projection, so no key is cloned under the lock.
+        if self.db.track_reads.load(Ordering::Relaxed) && !out.is_empty() {
+            self.state
+                .read_keys
+                .lock()
+                .extend(out.iter().map(|row| (t.name.clone(), t.schema.key_of(row))));
+        }
+        let shared = out.len();
+        for op in own.values() {
+            if let WsOp::Put(row) = op {
+                if pred(row) {
+                    out.push(Arc::new(row.clone()));
+                }
             }
         }
-        self.db.cost.scan(out.len());
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(Some(out.into_iter().map(|(_, r)| r).collect()))
+        drop(buffer);
+        if out.len() > shared {
+            out.sort_by(|a, b| t.schema.key_cmp(a, b));
+        }
+        (out, visited)
     }
 
     /// The shared write path: lock → version check → kind-specific checks →

@@ -97,6 +97,88 @@ fn scan_sees_own_inserts_in_key_order() {
 }
 
 #[test]
+fn prefix_scan_stays_inside_the_prefix_and_merges_own_writes() {
+    let db = Database::in_memory();
+    let cols = vec![
+        Column::new("o", ColumnType::Int),
+        Column::new("l", ColumnType::Int),
+        Column::new("v", ColumnType::Int),
+    ];
+    db.create_table(TableSchema::new("ol", cols, &["o", "l"]).unwrap()).unwrap();
+    let setup = db.begin().unwrap();
+    for o in 1..=3 {
+        for l in 1..=3 {
+            setup.insert("ol", vec![Value::Int(o), Value::Int(l), Value::Int(o * 10 + l)]).unwrap();
+        }
+    }
+    setup.commit().unwrap();
+    db.set_track_reads(true);
+    let t = db.begin().unwrap();
+    t.delete_key("ol", Key::composite(vec![Value::Int(2), Value::Int(2)])).unwrap();
+    t.insert("ol", vec![Value::Int(2), Value::Int(0), Value::Int(0)]).unwrap();
+    t.insert("ol", vec![Value::Int(3), Value::Int(0), Value::Int(0)]).unwrap();
+    let rows = t.scan_prefix("ol", &[Value::Int(2)], |_| true).unwrap();
+    let lines: Vec<(i64, i64)> =
+        rows.iter().map(|r| (r[0].as_int().unwrap(), r[1].as_int().unwrap())).collect();
+    assert_eq!(lines, vec![(2, 0), (2, 1), (2, 3)]);
+    // Only the two rows read from the snapshot count as reads.
+    let read: Vec<Key> = t.read_keys().into_iter().map(|(_, k)| k).collect();
+    assert_eq!(
+        read,
+        vec![
+            Key::composite(vec![Value::Int(2), Value::Int(1)]),
+            Key::composite(vec![Value::Int(2), Value::Int(3)]),
+        ]
+    );
+    t.commit().unwrap();
+}
+
+#[test]
+fn commit_does_not_wait_for_a_scan_predicate() {
+    use std::sync::mpsc;
+    let db = db_with_kv();
+    put(&db, 1, 10);
+    put(&db, 2, 20);
+    let (parked_tx, parked_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let scanner = {
+        let db = db.clone();
+        thread::spawn(move || {
+            let t = db.begin().unwrap();
+            let rows = t
+                .scan("kv", |_| {
+                    let _ = parked_tx.send(());
+                    // Parks until released; a dropped sender releases too,
+                    // so a failing assertion below cannot hang the test.
+                    let _ = release_rx.recv();
+                    true
+                })
+                .unwrap();
+            t.commit().unwrap();
+            rows.len()
+        })
+    };
+    parked_rx.recv_timeout(Duration::from_secs(10)).expect("scan never reached its predicate");
+    let (done_tx, done_rx) = mpsc::channel();
+    let committer = {
+        let db = db.clone();
+        thread::spawn(move || {
+            let w = db.begin().unwrap();
+            w.update_key("kv", Key::single(1), vec![Value::Int(1), Value::Int(11)]).unwrap();
+            w.commit().unwrap();
+            let _ = done_tx.send(());
+        })
+    };
+    let committed = done_rx.recv_timeout(Duration::from_secs(5));
+    drop(release_tx);
+    assert!(committed.is_ok(), "a commit to the scanned table waited for the scan's predicate");
+    committer.join().unwrap();
+    // The scan read its snapshot, which predates the update.
+    assert_eq!(scanner.join().unwrap(), 2);
+    assert_eq!(get(&db, 1), Some(11));
+}
+
+#[test]
 fn first_updater_wins_immediate_abort() {
     let db = db_with_kv();
     put(&db, 1, 10);

@@ -84,6 +84,16 @@ impl TableSchema {
         self.columns.len()
     }
 
+    /// Compare two rows by primary key, as their [`Key`](crate::value::Key)s
+    /// would compare, without building either key.
+    pub fn key_cmp(&self, a: &Row, b: &Row) -> std::cmp::Ordering {
+        self.pk
+            .iter()
+            .map(|&i| a[i].total_cmp(&b[i]))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    }
+
     /// Project a row's primary key.
     pub fn key_of(&self, row: &Row) -> crate::value::Key {
         crate::value::Key(self.pk.iter().map(|&i| row[i].clone()).collect())
